@@ -8,12 +8,12 @@ then:
 1. **joins** with a capability exchange (host, pid, slots) and receives the
    published :class:`~repro.experiment.spec.ExperimentSpec` YAML plus the
    heartbeat/lease contract;
-2. **rebuilds an engine-identical trainer node** from the spec's seeded
-   factories (the same construction as a redis broker worker, which is what
-   makes a live turn bit-identical to a simulated one given the same
-   inputs);
-3. **serves turns**: poll -> swap in the client's local snapshot -> run the
-   method -> swap out -> post the serde result frame, while a
+2. **rebuilds an engine-identical trainer node** from the spec with
+   :func:`repro.node.builder.load_worker` (the builder the engine and the
+   redis broker workers use, which is what makes a live turn bit-identical
+   to a simulated one given the same inputs);
+3. **serves turns**: poll -> :meth:`Node.run_client_turn` against the
+   client's local snapshot -> post the serde result frame, while a
    :class:`~repro.cluster.heartbeat.Heartbeater` renews the lease on a
    second channel;
 4. **leaves gracefully** on SIGTERM/SIGINT or the coordinator's stop flag —
@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.cluster.heartbeat import Heartbeater
 from repro.cluster.protocol import decode_control, encode_control, peek_kind
 from repro.comm.transport import TransportError, make_channel
+from repro.node.builder import load_worker
 from repro.runtime import serde
 from repro.utils.logging import get_logger
 
@@ -53,59 +54,6 @@ def parse_cluster_url(url: str) -> Tuple[str, str]:
             f"cluster URL must be tcp://host:port or inproc://name, got {url!r}"
         )
     return kind, address
-
-
-def build_trainer_node(spec_yaml: str, num_clients: int, name: str):
-    """(node, data provider, baseline) rebuilt from a published spec.
-
-    Mirrors :meth:`repro.runtime.worker.BrokerWorker.load`: the same seeded
-    factories the engine uses, a trainer-role node with no mounted shard —
-    datasets are mounted per turn via the provider's client views.
-    """
-    from repro.data.views import ClientDataProvider
-    from repro.experiment import spec as spec_mod
-    from repro.node.node import Node
-    from repro.topology.base import NodeRole, NodeSpec
-
-    spec = spec_mod.ExperimentSpec.from_yaml(spec_yaml)
-    datamodule = spec_mod.resolve_datamodule(spec)
-    model_fn = spec_mod.resolve_model_fn(spec, datamodule)
-    algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
-    compressor_fn, outer_compressor_fn, dp_fn = spec_mod.resolve_plugin_fns(spec)
-    seed = int(spec.seed)
-    # same pure derivation as the engine and broker workers: a live member
-    # reconstructs the attacker set from the published spec alone
-    attack_plan = spec_mod.resolve_attack_plan(spec, int(num_clients), datamodule.num_classes)
-
-    provider = ClientDataProvider(
-        datamodule,
-        int(num_clients),
-        spec.data.partition,
-        alpha=spec.data.partition_alpha,
-        seed=seed,
-        feature_noniid=float(spec.data.feature_noniid),
-    )
-    nspec = NodeSpec(name=name, index=2_000_000, role=NodeRole.TRAINER)
-    node = Node(
-        spec=nspec,
-        model=model_fn(),
-        algorithm=algorithm_fn(),
-        train_dataset=None,
-        test_dataset=datamodule.test,
-        batch_size=int(spec.data.batch_size),
-        seed=seed,
-        dp=dp_fn() if dp_fn is not None else None,
-        compressor=compressor_fn() if compressor_fn is not None else None,
-        outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
-        # live mode has no scripted faults: real processes fail for real
-        drop_prob=0.0,
-        straggler_prob=0.0,
-        straggler_delay=0.0,
-        attack=attack_plan.attack if attack_plan is not None else None,
-        attacker_ids=attack_plan.attacker_ids if attack_plan is not None else (),
-    )
-    node.setup_local()
-    return node, provider, node.pool_baseline()
 
 
 class ClusterNode:
@@ -168,10 +116,11 @@ class ClusterNode:
         return reply
 
     def load(self, join_reply: Dict[str, Any]) -> None:
-        self.node, self.provider, self.baseline = build_trainer_node(
+        self.node, self.provider, self.baseline = load_worker(
             str(join_reply["spec"]),
             int(join_reply["num_clients"]),
             name=f"cluster_node_{self.node_id}",
+            index=2_000_000,
         )
 
     def run(self, max_turns: Optional[int] = None) -> int:
@@ -214,19 +163,13 @@ class ClusterNode:
             # widens the kill window for live failure tests (mirrors the
             # broker worker's REPRO_WORKER_TURN_DELAY)
             time.sleep(delay)
-        snapshot = self._snapshots.get(client)
         try:
-            needs_data = method in ("local_update", "run_round")
-            dataset = self.provider.view(client) if needs_data else None
-            self.node.begin_client_turn(client, snapshot, dataset, self.baseline)
-            try:
-                value = getattr(self.node, method)(*args, **kwargs)
-            finally:
-                # swap out even after a failed turn (dedicated-node
-                # semantics: the client keeps whatever state the failure
-                # left)
-                turns = snapshot.turns if snapshot is not None else 0
-                self._snapshots[client] = self.node.end_client_turn(turns)
+            self._snapshots[client], value, error = self.node.run_client_turn(
+                client, self._snapshots.get(client), self.provider, self.baseline,
+                method, args, kwargs,
+            )
+            if error is not None:
+                raise error
             result = serde.encode_result(turn_id, client, value, worker=self.node_id)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             result = serde.encode_error(

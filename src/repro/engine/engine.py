@@ -3,9 +3,7 @@
 The engine is built from one validated :class:`~repro.experiment.spec.
 ExperimentSpec` via :meth:`Engine.from_spec`: it instantiates node actors,
 wires their communicators, partitions data, drives rounds (or hands control
-to the scheduler runtime), and collects metrics.  The legacy constructors —
-``Engine(**kwargs)``, ``Engine.from_names``, ``Engine.from_config`` — are
-deprecated shims that assemble a spec and route through the same path.
+to the scheduler runtime), and collects metrics.
 
 Plugins compose exactly as in OmniFed: a ``compressor`` applies to client
 uploads (or, in hierarchical deployments, ``outer_compressor`` only to the
@@ -16,27 +14,21 @@ updates before they leave the node.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm
 from repro.comm.factory import build_communicator
-from repro.compression.base import Compressor
-from repro.data.registry import DataModule
-from repro.data.views import ClientDataProvider
 from repro.engine.actor import ThreadActor, wait_all
 from repro.engine.metrics import MetricsCollector, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
-from repro.models.base import FederatedModel
 from repro.nn.serialization import state_average
+from repro.node.builder import NodeBuilder
 from repro.node.node import Node
-from repro.privacy.dp import DifferentialPrivacy
 from repro.scheduler.base import Scheduler, build_scheduler
 from repro.scheduler.selection import build_selector
 from repro.telemetry.tracer import NOOP_TRACER
-from repro.topology.base import NodeRole, NodeSpec, Topology
+from repro.topology.base import NodeRole
 from repro.utils.logging import get_logger
 from repro.utils.timer import SimClock
 
@@ -48,109 +40,25 @@ __all__ = ["Engine"]
 
 _LOG = get_logger("engine")
 
-_DEPRECATION_TEMPLATE = (
-    "{api} is deprecated; describe the run with an ExperimentSpec and use "
-    "Engine.from_spec(spec) — or better, Experiment(spec).run() — instead"
-)
-
 
 class Engine:
     """Orchestrates one federated experiment (build with :meth:`from_spec`)."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        datamodule: DataModule,
-        model_fn: Callable[[], FederatedModel],
-        algorithm_fn: Callable[[], Algorithm],
-        global_rounds: int = 5,
-        batch_size: int = 32,
-        seed: int = 0,
-        partition: str = "dirichlet",
-        partition_alpha: float = 0.5,
-        eval_every: int = 1,
-        eval_max_batches: Optional[int] = None,
-        compressor_fn: Optional[Callable[[], Compressor]] = None,
-        outer_compressor_fn: Optional[Callable[[], Compressor]] = None,
-        dp_fn: Optional[Callable[[], DifferentialPrivacy]] = None,
-        client_fraction: float = 1.0,
-        drop_prob: float = 0.0,
-        straggler_prob: float = 0.0,
-        straggler_delay: float = 0.0,
-        feature_noniid: float = 0.0,
-        selection: str = "random",
-        selection_kwargs: Optional[Dict[str, Any]] = None,
-        scheduler: Optional[Any] = None,
-    ) -> None:
-        """Deprecated: assemble an :class:`ExperimentSpec` instead.
-
-        This legacy constructor wraps its arguments (live topology/
-        datamodule objects and component factories become opaque spec
-        fields) and routes through the spec path, so old call sites behave
-        identically while emitting one :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine(**kwargs)"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import spec_from_parts
-
-        spec = spec_from_parts(
-            topology=topology,
-            datamodule=datamodule,
-            model=model_fn,
-            algorithm=algorithm_fn,
-            compressor=compressor_fn,
-            outer_compressor=outer_compressor_fn,
-            dp=dp_fn,
-            global_rounds=global_rounds,
-            batch_size=batch_size,
-            seed=seed,
-            partition=partition,
-            partition_alpha=partition_alpha,
-            eval_every=eval_every,
-            eval_max_batches=eval_max_batches,
-            client_fraction=client_fraction,
-            drop_prob=drop_prob,
-            straggler_prob=straggler_prob,
-            straggler_delay=straggler_delay,
-            feature_noniid=feature_noniid,
-            selection=selection,
-            selection_kwargs=selection_kwargs,
-            scheduler=scheduler,
-        )
-        self._init_from_spec(spec)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(
-        cls,
-        spec: "ExperimentSpec",
-        callbacks: Iterable["Callback"] = (),
-    ) -> "Engine":
-        """Build the executor for one :class:`ExperimentSpec` (the v2 path)."""
-        engine = cls.__new__(cls)
-        engine._init_from_spec(spec)
-        engine.metrics.callbacks.extend(callbacks)
-        return engine
-
-    def _init_from_spec(self, spec: "ExperimentSpec") -> None:
+    def __init__(self, spec: "ExperimentSpec") -> None:
         from repro.experiment import spec as spec_mod
 
         if not isinstance(spec, spec_mod.ExperimentSpec):
             raise TypeError(f"Engine.from_spec needs an ExperimentSpec, got {type(spec).__name__}")
         topology = spec_mod.resolve_topology(spec)
-        datamodule = spec_mod.resolve_datamodule(spec)
-        model_fn = spec_mod.resolve_model_fn(spec, datamodule)
-        algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
-        compressor_fn, outer_compressor_fn, dp_fn = spec_mod.resolve_plugin_fns(spec)
+        topology.validate()
+        node_specs = topology.specs()
+        n_trainers = topology.trainer_count()
+        builder = NodeBuilder(spec, n_trainers)
         seed = int(spec.seed)
 
-        topology.validate()
         self.spec = spec
         self.topology = topology
-        self.datamodule = datamodule
+        self.datamodule = builder.datamodule
         self.global_rounds = int(spec.train.global_rounds)
         self.eval_every = int(spec.train.eval_every)
         self.eval_max_batches = spec.train.eval_max_batches
@@ -170,14 +78,10 @@ class Engine:
         self._bytes_seen = 0
         self._sim_comm_seen = 0.0
 
-        node_specs = topology.specs()
-        n_trainers = topology.trainer_count()
-        # adversarial-robustness wiring: the attack plan is a pure function
-        # of (spec, cohort, classes) so broker workers and live nodes derive
-        # the identical attacker set from the published spec; the robust
-        # factory hands every scheduler binding (each hierarchical site
-        # tier included) its own counter-carrying aggregator instance
-        self.attack_plan = spec_mod.resolve_attack_plan(spec, n_trainers, datamodule.num_classes)
+        self.attack_plan = builder.attack_plan
+        # the robust factory hands every scheduler binding (each
+        # hierarchical site tier included) its own counter-carrying
+        # aggregator instance
         self.robust_factory = spec_mod.resolve_robust_fn(spec)
         self.mtd = getattr(spec, "mtd", None)
         if self.mtd is not None and topology.pattern != "gossip":
@@ -192,14 +96,7 @@ class Engine:
                 "synchronous rounds loop would silently ignore it — name a "
                 "scheduler policy (e.g. scheduler: sync) or set mode: async"
             )
-        self.data_provider = ClientDataProvider(
-            datamodule,
-            n_trainers,
-            spec.data.partition,
-            alpha=spec.data.partition_alpha,
-            seed=seed,
-            feature_noniid=float(spec.data.feature_noniid),
-        )
+        self.data_provider = builder.data_provider()
 
         pool_size = getattr(spec, "pool_size", None)
         if pool_size is not None and int(pool_size) < 1:
@@ -227,47 +124,27 @@ class Engine:
                 "pool_size >= the trainer count, or leave pool_size null)"
             )
 
-        def make_node(nspec: NodeSpec, train_ds) -> Node:
-            return Node(
-                spec=nspec,
-                model=model_fn(),
-                algorithm=algorithm_fn(),
-                train_dataset=train_ds,
-                test_dataset=datamodule.test,
-                batch_size=int(spec.data.batch_size),
-                seed=seed,
-                dp=dp_fn() if (dp_fn is not None and nspec.role.trains()) else None,
-                compressor=compressor_fn() if compressor_fn is not None else None,
-                outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
-                drop_prob=spec.faults.drop_prob if nspec.role.trains() else 0.0,
-                straggler_prob=spec.faults.straggler_prob if nspec.role.trains() else 0.0,
-                straggler_delay=spec.faults.straggler_delay,
-                attack=(
-                    self.attack_plan.attack
-                    if self.attack_plan is not None and nspec.role.trains()
-                    else None
-                ),
-                attacker_ids=(
-                    self.attack_plan.attacker_ids if self.attack_plan is not None else ()
-                ),
-            )
-
         self.nodes: List[Node] = []
         self.actors: List[ThreadActor] = []
         self.pool: Optional[ClientPool] = None
         self.cluster = None  # LiveRuntime in live mode
-        if live:
-            # live control plane: aggregators/relays materialize in-process,
-            # the cohort's trainers live in `repro node` member processes
-            # that rebuild themselves from the published spec
+        if live or pooled:
+            # aggregators/relays materialize as real nodes; the cohort's
+            # trainers become logical clients served by pool workers, broker
+            # workers or live member processes (no communicator groups:
+            # these run on the scheduler runtime, which moves updates
+            # through turn tickets)
             for nspec in node_specs:
                 if nspec.role.trains():
                     continue
-                self.nodes.append(make_node(nspec, None))
+                self.nodes.append(builder.build(nspec))
                 self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
-            # trainer nodes live elsewhere: probe the algorithm's evaluation
-            # convention directly (mirrors the distributed-broker branch)
-            self._personalized_eval = bool(algorithm_fn().personalized_eval)
+        if live or distributed:
+            # worker and member processes rebuild their own trainer nodes
+            # from the published spec; this process holds none, so probe the
+            # algorithm's evaluation convention directly
+            self._personalized_eval = bool(builder.algorithm_fn().personalized_eval)
+        if live:
             from repro.cluster.coordinator import ClusterCoordinator
             from repro.cluster.runtime import LiveRuntime
 
@@ -291,20 +168,7 @@ class Engine:
                 coordinator.url, cl.min_nodes, cl.lease, coordinator.url,
             )
         elif pooled:
-            # aggregators/relays materialize as real nodes; the cohort's
-            # trainers become logical clients served by broker workers (no
-            # communicator groups: pooled execution runs on the scheduler
-            # runtime, which moves updates through turn tickets)
-            for nspec in node_specs:
-                if nspec.role.trains():
-                    continue
-                self.nodes.append(make_node(nspec, None))
-                self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
             if distributed:
-                # worker processes rebuild their own trainer nodes from the
-                # spec the broker publishes; this process holds none, so
-                # probe the algorithm's evaluation convention directly
-                self._personalized_eval = bool(algorithm_fn().personalized_eval)
                 broker = Broker(
                     broker_url,
                     spec=spec,
@@ -315,14 +179,9 @@ class Engine:
                 base_index = 1 + max(s.index for s in node_specs)
                 worker_positions = []
                 for w in range(int(pool_size)):
-                    wspec = NodeSpec(
-                        name=f"pool_worker_{w}",
-                        index=base_index + w,
-                        role=NodeRole.TRAINER,
-                    )
                     worker_positions.append(len(self.nodes))
-                    self.nodes.append(make_node(wspec, None))
-                    self.actors.append(ThreadActor(self.nodes[-1], name=wspec.name))
+                    self.nodes.append(builder.worker(f"pool_worker_{w}", base_index + w))
+                    self.actors.append(ThreadActor(self.nodes[-1], name=self.nodes[-1].name))
                 broker = Broker(
                     broker_url,
                     engine=self,
@@ -341,7 +200,7 @@ class Engine:
                 train_ds = (
                     self.data_provider.view(nspec.shard) if nspec.shard is not None else None
                 )
-                node = make_node(nspec, train_ds)
+                node = builder.build(nspec, train_ds)
                 for gname, gspec in nspec.groups.items():
                     node.comms[gname] = build_communicator(
                         gspec.comm_config, gspec.rank, gspec.world_size, self.sim_clock
@@ -355,60 +214,15 @@ class Engine:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_names(
+    def from_spec(
         cls,
-        topology: str = "centralized",
-        algorithm: str = "fedavg",
-        model: str = "simple_cnn",
-        datamodule: str = "cifar10",
-        num_clients: int = 4,
-        topology_kwargs: Optional[Dict[str, Any]] = None,
-        algorithm_kwargs: Optional[Dict[str, Any]] = None,
-        model_kwargs: Optional[Dict[str, Any]] = None,
-        datamodule_kwargs: Optional[Dict[str, Any]] = None,
-        compressor: Optional[str] = None,
-        compressor_kwargs: Optional[Dict[str, Any]] = None,
-        **engine_kwargs: Any,
+        spec: "ExperimentSpec",
+        callbacks: Iterable["Callback"] = (),
     ) -> "Engine":
-        """Deprecated registry-name constructor; routes through the spec."""
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine.from_names"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import spec_from_names
-
-        return cls.from_spec(spec_from_names(
-            topology=topology,
-            algorithm=algorithm,
-            model=model,
-            datamodule=datamodule,
-            num_clients=num_clients,
-            topology_kwargs=topology_kwargs,
-            algorithm_kwargs=algorithm_kwargs,
-            model_kwargs=model_kwargs,
-            datamodule_kwargs=datamodule_kwargs,
-            compressor=compressor,
-            compressor_kwargs=compressor_kwargs,
-            **engine_kwargs,
-        ))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, cfg: Any) -> "Engine":
-        """Deprecated composed-config constructor; routes through the spec.
-
-        Expects the layout of ``repro/conf/experiment.yaml``; prefer
-        ``Experiment(ExperimentSpec.from_config(cfg)).run()``.
-        """
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine.from_config"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import ExperimentSpec
-
-        return cls.from_spec(ExperimentSpec.from_config(cfg))
+        """Build the executor for one :class:`ExperimentSpec`."""
+        engine = cls(spec)
+        engine.metrics.callbacks.extend(callbacks)
+        return engine
 
     # ------------------------------------------------------------------
     @staticmethod

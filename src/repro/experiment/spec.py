@@ -18,8 +18,8 @@ accept three shapes:
    sibling ``*_kwargs`` field — the declarative, serializable form;
 2. a **Hydra-style mapping** with a ``_target_`` key — what
    :func:`ExperimentSpec.from_config` produces from composed YAML;
-3. an **opaque object/factory** — what the deprecated legacy ``Engine``
-   constructors feed through; such specs run fine but cannot serialize.
+3. an **opaque object/factory** (a live topology or datamodule, a model or
+   plugin factory); such specs run fine but cannot serialize.
 
 Specs in forms 1–2 roundtrip losslessly through the framework's own YAML
 dumper: ``ExperimentSpec.from_yaml(spec.to_yaml()) == spec``.
@@ -82,8 +82,8 @@ def _check_serializable(value: Any, path: str) -> None:
         return
     raise SpecError(
         f"{path}: {type(value).__name__} is not serializable — specs built "
-        "from live objects (the legacy Engine constructors) cannot be dumped; "
-        "use registry names or _target_ mappings instead"
+        "from live objects or factories cannot be dumped; use registry names "
+        "or _target_ mappings instead"
     )
 
 
@@ -227,7 +227,7 @@ class SchedulerSpec:
 
     @classmethod
     def from_value(cls, value: Any) -> Any:
-        """Normalize the legacy ``scheduler=`` shapes (str / dict / object)."""
+        """Normalize the ``scheduler=`` shapes (str / dict / object)."""
         if value is None or isinstance(value, (cls,)):
             return value
         if isinstance(value, str):
@@ -240,7 +240,7 @@ class SchedulerSpec:
             if name is None:
                 raise SpecError("scheduler mapping needs a 'name' (or '_target_') key")
             return cls(name=str(name), kwargs=kwargs)
-        return value  # opaque Scheduler instance: legacy passthrough
+        return value  # opaque Scheduler instance: passed through
 
     def to_value(self) -> Dict[str, Any]:
         """The mapping shape the engine's scheduler resolver understands."""
@@ -455,7 +455,15 @@ class ExperimentSpec:
             _freeze(self, "mtd", _from_dict(MTDSpec, self.mtd, "mtd"))
         if self.mode not in _MODES:
             raise SpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "live":
+        if self.broker is None:
+            _freeze(self, "broker", "memory://")
+        # scheme registry owns URL validation (ValueError names the
+        # registered schemes); imported lazily to keep spec import-light
+        from repro.runtime.broker import broker_scheme
+
+        broker_scheme(self.broker)
+        # validate on the resolved mode: auto with a cluster block runs live
+        if self.run_mode() == "live":
             if self.cluster is None:
                 raise SpecError(
                     "mode='live' needs a cluster spec (where the coordinator "
@@ -475,12 +483,12 @@ class ExperimentSpec:
                 )
             if self.batch_turns is not None:
                 raise SpecError("live mode does not support batch_turns fusion")
-            if self.broker is not None and not str(self.broker).startswith("memory:"):
+            if not self.broker.startswith("memory:"):
                 raise SpecError(
                     "live mode owns turn transport (the cluster coordinator); "
                     "leave broker at memory://"
                 )
-        elif self.cluster is not None and self.mode != "auto":
+        elif self.cluster is not None:
             raise SpecError(
                 f"a cluster spec only runs under mode='live' (or 'auto'), "
                 f"got mode={self.mode!r}"
@@ -493,13 +501,6 @@ class ExperimentSpec:
             raise SpecError("pool_size must be >= 1 (or null)")
         if self.batch_turns is not None and self.batch_turns < 1:
             raise SpecError("batch_turns must be >= 1 (or null)")
-        if self.broker is None:
-            _freeze(self, "broker", "memory://")
-        # scheme registry owns URL validation (ValueError names the
-        # registered schemes); imported lazily to keep spec import-light
-        from repro.runtime.broker import broker_scheme
-
-        broker_scheme(self.broker)
 
     # -- dispatch ----------------------------------------------------------
     def run_mode(self) -> str:
@@ -673,149 +674,6 @@ class ExperimentSpec:
             ),
             mtd=_plain(cfg.get("mtd")) if cfg.get("mtd") is not None else None,
         )
-
-
-# --------------------------------------------------------------------------
-# legacy-kwargs bridges (the deprecated Engine constructors route through
-# these so every construction path produces one ExperimentSpec)
-# --------------------------------------------------------------------------
-
-def spec_from_parts(
-    *,
-    topology: Any,
-    topology_kwargs: Optional[Mapping[str, Any]] = None,
-    datamodule: Any,
-    datamodule_kwargs: Optional[Mapping[str, Any]] = None,
-    model: Any,
-    model_kwargs: Optional[Mapping[str, Any]] = None,
-    algorithm: Any,
-    algorithm_kwargs: Optional[Mapping[str, Any]] = None,
-    compressor: Any = None,
-    compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    outer_compressor: Any = None,
-    outer_compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    dp: Any = None,
-    global_rounds: int = 5,
-    batch_size: int = 32,
-    seed: int = 0,
-    partition: str = "dirichlet",
-    partition_alpha: float = 0.5,
-    eval_every: int = 1,
-    eval_max_batches: Optional[int] = None,
-    client_fraction: float = 1.0,
-    drop_prob: float = 0.0,
-    straggler_prob: float = 0.0,
-    straggler_delay: float = 0.0,
-    feature_noniid: float = 0.0,
-    selection: str = "random",
-    selection_kwargs: Optional[Mapping[str, Any]] = None,
-    scheduler: Any = None,
-    mode: str = "auto",
-    total_updates: Optional[int] = None,
-    num_clients: Optional[int] = None,
-    pool_size: Optional[int] = None,
-    broker: str = "memory://",
-    batch_turns: Optional[int] = None,
-    cluster: Any = None,
-    attack: Any = None,
-    aggregation: Any = None,
-    mtd: Any = None,
-) -> ExperimentSpec:
-    """Assemble an :class:`ExperimentSpec` from flat engine-style kwargs."""
-    return ExperimentSpec(
-        topology=topology,
-        topology_kwargs=dict(topology_kwargs or {}),
-        data=DataSpec(
-            dataset=datamodule,
-            kwargs=dict(datamodule_kwargs or {}),
-            partition=partition,
-            partition_alpha=partition_alpha,
-            batch_size=batch_size,
-            feature_noniid=feature_noniid,
-        ),
-        train=TrainSpec(
-            algorithm=algorithm,
-            algorithm_kwargs=dict(algorithm_kwargs or {}),
-            model=model,
-            model_kwargs=dict(model_kwargs or {}),
-            global_rounds=global_rounds,
-            eval_every=eval_every,
-            eval_max_batches=eval_max_batches,
-        ),
-        plugins=PluginSpec(
-            compressor=compressor,
-            compressor_kwargs=dict(compressor_kwargs or {}),
-            outer_compressor=outer_compressor,
-            outer_compressor_kwargs=dict(outer_compressor_kwargs or {}),
-            dp=dp,
-        ),
-        faults=FaultSpec(
-            client_fraction=client_fraction,
-            drop_prob=drop_prob,
-            straggler_prob=straggler_prob,
-            straggler_delay=straggler_delay,
-            selection=selection,
-            selection_kwargs=dict(selection_kwargs or {}),
-        ),
-        scheduler=SchedulerSpec.from_value(scheduler),
-        mode=mode,
-        seed=seed,
-        total_updates=total_updates,
-        num_clients=num_clients,
-        pool_size=pool_size,
-        broker=broker,
-        batch_turns=batch_turns,
-        cluster=cluster,
-        attack=attack,
-        aggregation=aggregation,
-        mtd=mtd,
-    )
-
-
-def spec_from_names(
-    topology: str = "centralized",
-    algorithm: str = "fedavg",
-    model: str = "simple_cnn",
-    datamodule: str = "cifar10",
-    num_clients: int = 4,
-    topology_kwargs: Optional[Mapping[str, Any]] = None,
-    algorithm_kwargs: Optional[Mapping[str, Any]] = None,
-    model_kwargs: Optional[Mapping[str, Any]] = None,
-    datamodule_kwargs: Optional[Mapping[str, Any]] = None,
-    compressor: Optional[str] = None,
-    compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    **engine_kwargs: Any,
-) -> ExperimentSpec:
-    """The ``Engine.from_names`` argument surface as a spec."""
-    topo_kw = dict(topology_kwargs or {})
-    topo_kw.setdefault("num_clients", num_clients)
-    if topology in ("hierarchical", "tree", "hub_spoke"):
-        topo_kw.pop("num_clients", None)
-    # the legacy surface also accepted plugin factories through engine_kwargs
-    legacy_plugins = {
-        "compressor_fn": "compressor",
-        "outer_compressor_fn": "outer_compressor",
-        "dp_fn": "dp",
-    }
-    extra: Dict[str, Any] = {}
-    for legacy_key, part in legacy_plugins.items():
-        if legacy_key in engine_kwargs:
-            extra[part] = engine_kwargs.pop(legacy_key)
-    if compressor is not None:
-        extra["compressor"] = compressor
-        extra["compressor_kwargs"] = dict(compressor_kwargs or {})
-    return spec_from_parts(
-        topology=topology,
-        topology_kwargs=topo_kw,
-        datamodule=datamodule,
-        datamodule_kwargs=dict(datamodule_kwargs or {}),
-        model=model,
-        model_kwargs=dict(model_kwargs or {}),
-        algorithm=algorithm,
-        algorithm_kwargs=dict(algorithm_kwargs or {}),
-        **extra,
-        **engine_kwargs,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,9 @@ __all__ = ["Node"]
 
 _LOG = get_logger("node")
 
+#: turn methods that train, so a pooled turn mounts the client's data view
+DATA_METHODS = ("local_update", "run_round")
+
 
 class Node:
     """One federation participant; all round protocols live here."""
@@ -268,6 +271,42 @@ class Node:
         )
         self.train_dataset = None  # release the data view with the turn
         return snapshot
+
+    def run_client_turn(
+        self,
+        client_id: int,
+        snapshot: Optional[ClientSnapshot],
+        provider: Any,
+        baseline: Dict[str, Any],
+        method: str,
+        args: tuple = (),
+        kwargs: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[ClientSnapshot, Any, Optional[Exception]]:
+        """One pooled turn of logical client ``client_id`` on this worker.
+
+        Swap the client in (mounting its data view from ``provider`` when
+        ``method`` trains), run ``method``, and swap it out even when the
+        method raises: the client keeps whatever state the failure left
+        (dedicated-node semantics), and the next ``begin_client_turn`` fully
+        re-initializes the worker, so reuse cannot leak state across clients.
+        Returns ``(snapshot, value, error)`` with exactly one of ``value`` /
+        ``error`` meaningful; a failed swap-in raises instead.
+        """
+        dataset = provider.view(client_id) if method in DATA_METHODS else None
+        tracer = self.tracer
+        with tracer.span("pool.swap_in", cat="pool", client=client_id):
+            self.begin_client_turn(client_id, snapshot, dataset, baseline)
+        value, error = None, None
+        try:
+            with tracer.span("pool.turn", cat="pool", client=client_id, method=method):
+                value = getattr(self, method)(*args, **(kwargs or {}))
+        except Exception as exc:  # noqa: BLE001 - handed back with the snapshot
+            error = exc
+        finally:
+            turns = snapshot.turns if snapshot is not None else 0
+            with tracer.span("pool.swap_out", cat="pool", client=client_id):
+                after = self.end_client_turn(turns)
+        return after, value, error
 
     def shutdown(self) -> None:
         for gname, comm in self.comms.items():

@@ -12,9 +12,6 @@ How logical clients reach execution substrates:
   ``memory://`` runs turns on in-process worker actors, ``redis://`` on
   worker processes pulling from a redis queue
   (:mod:`repro.runtime.broker`, :mod:`repro.runtime.redis`).
-
-``repro.engine.pool`` re-exports the pre-0.7 names with a
-``DeprecationWarning``; new code imports from here.
 """
 
 from repro.runtime.base import ClientRuntime, DedicatedRuntime

@@ -28,9 +28,6 @@ The contract, which every implementation must honor:
 ``shutdown()``
     Release execution resources.  Pending (unstarted) turns fail with
     ``RuntimeError``; already-running turns complete.  Idempotent.
-
-``repro.engine.pool`` re-exports these names for backward compatibility but
-emits a :class:`DeprecationWarning`; import from :mod:`repro.runtime`.
 """
 
 from __future__ import annotations

@@ -266,25 +266,16 @@ class MemoryBroker(TurnBroker):
         )
 
     def _run_turn(self, node, ticket: "PoolTicket") -> Any:
-        """Inject state -> run -> extract state, on the worker's thread."""
-        tracer = self._engine.tracer
-        snapshot = self.store.get(ticket.client)
-        dataset = self.pool.data_view(ticket)
+        """One turn on the worker's thread, its snapshot kept in the store."""
         assert self._baseline is not None
-        with tracer.span("pool.swap_in", cat="pool", client=ticket.client):
-            node.begin_client_turn(ticket.client, snapshot, dataset, self._baseline)
-        try:
-            with tracer.span("pool.turn", cat="pool",
-                             client=ticket.client, method=ticket.method):
-                return getattr(node, ticket.method)(*ticket.args, **ticket.kwargs)
-        finally:
-            # extract even after a failed turn: the client keeps whatever
-            # state the failure left (dedicated-node semantics), and the
-            # next begin_client_turn fully re-initializes the worker either
-            # way, so reuse cannot leak state across clients
-            turns = snapshot.turns if snapshot is not None else 0
-            with tracer.span("pool.swap_out", cat="pool", client=ticket.client):
-                self.store.put(ticket.client, node.end_client_turn(turns))
+        snapshot, value, error = node.run_client_turn(
+            ticket.client, self.store.get(ticket.client), self.pool.data_provider,
+            self._baseline, ticket.method, ticket.args, ticket.kwargs,
+        )
+        self.store.put(ticket.client, snapshot)
+        if error is not None:
+            raise error
+        return value
 
     def _on_turn_done(self, ticket: "PoolTicket", worker: int, future) -> None:
         def release() -> None:  # runs under the pool lock, before the pump
@@ -334,7 +325,7 @@ class MemoryBroker(TurnBroker):
         assert self._baseline is not None
         runner = self._runner_for(node)
         if runner is not None and all(runner.turn_eligible(t) for t in tickets):
-            jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
+            jobs = [(t, self.store.get(t.client), self.pool.data_provider.view(t.client))
                     for t in tickets]
             try:
                 with tracer.span("pool.fused_batch", cat="pool",

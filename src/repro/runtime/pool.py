@@ -49,14 +49,13 @@ class PoolTicket:
     """
 
     def __init__(self, pool: "ClientPool", seq: int, client: int, method: str,
-                 args: tuple, kwargs: dict, needs_data: bool) -> None:
+                 args: tuple, kwargs: dict) -> None:
         self._pool = pool
         self.seq = seq
         self.client = int(client)
         self.method = method
         self.args = args
         self.kwargs = kwargs
-        self.needs_data = needs_data
         self.demanded = False
         self.started = False
         self._event = threading.Event()
@@ -104,9 +103,6 @@ class ClientPool(ClientRuntime):
 
     pooled = True
 
-    #: methods whose turn needs the client's training data view mounted
-    _DATA_METHODS = ("local_update", "run_round")
-
     def __init__(
         self,
         engine: "Engine",
@@ -119,7 +115,7 @@ class ClientPool(ClientRuntime):
         self._engine = engine
         self.num_clients = int(num_clients)
         self.broker = broker
-        self._data = data_provider
+        self.data_provider = data_provider
         self._lock = threading.Lock()
         # per-client FIFO queues plus two "ready lanes" of client ids:
         # clients whose head turn is demanded (may jump the window) and
@@ -181,11 +177,6 @@ class ClientPool(ClientRuntime):
     # kept as an alias: pre-broker callers knew this step as baseline capture
     ensure_baseline = start
 
-    def data_view(self, ticket: PoolTicket):
-        """The client's training-data view, for brokers that mount data
-        locally (``memory://``); remote workers rebuild views themselves."""
-        return self._data.view(ticket.client) if ticket.needs_data else None
-
     # ------------------------------------------------------------------
     def submit(self, client: int, method: str, *args: Any, **kwargs: Any) -> PoolTicket:
         if not self._started:
@@ -193,10 +184,7 @@ class ClientPool(ClientRuntime):
         with self._lock:
             if self._stopped:
                 raise RuntimeError("client pool has been stopped")
-            ticket = PoolTicket(
-                self, next(self._seq), client, method, args, kwargs,
-                needs_data=method in self._DATA_METHODS,
-            )
+            ticket = PoolTicket(self, next(self._seq), client, method, args, kwargs)
             queue = self._queues.get(ticket.client)
             if queue is None:
                 queue = self._queues[ticket.client] = deque()

@@ -3,11 +3,11 @@
 Started as ``python -m repro worker redis://host:port/0?run=<ns>`` (or
 auto-spawned by :class:`~repro.runtime.redis.RedisBroker` with
 ``?workers=N``).  On startup the worker fetches the experiment spec the
-broker published, rebuilds an identical trainer node from the same seeded
-factories the engine uses — which is what makes its turns bit-identical to
-in-process execution — and loops::
+broker published, rebuilds an identical trainer node with the builder the
+engine uses (:mod:`repro.node.builder`) — which is what makes its turns
+bit-identical to in-process execution — and loops::
 
-    BRPOP turn -> lease -> swap in snapshot -> run method -> swap out
+    BRPOP turn -> lease -> Node.run_client_turn on the stored snapshot
     -> MULTI{snapshot, done-record, result-ack, lease-release}EXEC
 
 A heartbeat thread renews the worker's liveness stamp and the active
@@ -96,64 +96,14 @@ class BrokerWorker:
                 f"no experiment published under namespace "
                 f"{self.cfg.namespace()!r} — is the engine running?"
             )
-        meta = json.loads(meta_raw)
+        from repro.node.builder import load_worker
 
-        from repro.data.views import ClientDataProvider
-        from repro.experiment import spec as spec_mod
-        from repro.node.node import Node
-        from repro.topology.base import NodeRole, NodeSpec
-
-        spec = spec_mod.ExperimentSpec.from_yaml(
-            spec_yaml.decode("utf8") if isinstance(spec_yaml, bytes) else spec_yaml
-        )
-        datamodule = spec_mod.resolve_datamodule(spec)
-        model_fn = spec_mod.resolve_model_fn(spec, datamodule)
-        algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
-        compressor_fn, outer_compressor_fn, dp_fn = spec_mod.resolve_plugin_fns(spec)
-        seed = int(spec.seed)
-
-        num_clients = meta.get("num_clients")
-        if num_clients is None:
-            num_clients = spec_mod.resolve_topology(spec).trainer_count()
-        # pure function of (spec, cohort, classes): this process derives the
-        # same attacker set the engine (and every other worker) derived
-        attack_plan = spec_mod.resolve_attack_plan(
-            spec, int(num_clients), datamodule.num_classes
-        )
-        self.provider = ClientDataProvider(
-            datamodule,
-            int(num_clients),
-            spec.data.partition,
-            alpha=spec.data.partition_alpha,
-            seed=seed,
-            feature_noniid=float(spec.data.feature_noniid),
-        )
-        # mirror the engine's make_node for a pool worker exactly: same
-        # seeded factories, trainer-role plugins, no mounted shard
-        nspec = NodeSpec(
+        self.node, self.provider, self.baseline = load_worker(
+            spec_yaml.decode("utf8") if isinstance(spec_yaml, bytes) else spec_yaml,
+            json.loads(meta_raw).get("num_clients"),
             name=f"broker_worker_{self.worker_id}",
             index=1_000_000,
-            role=NodeRole.TRAINER,
         )
-        self.node = Node(
-            spec=nspec,
-            model=model_fn(),
-            algorithm=algorithm_fn(),
-            train_dataset=None,
-            test_dataset=datamodule.test,
-            batch_size=int(spec.data.batch_size),
-            seed=seed,
-            dp=dp_fn() if dp_fn is not None else None,
-            compressor=compressor_fn() if compressor_fn is not None else None,
-            outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
-            drop_prob=spec.faults.drop_prob,
-            straggler_prob=spec.faults.straggler_prob,
-            straggler_delay=spec.faults.straggler_delay,
-            attack=attack_plan.attack if attack_plan is not None else None,
-            attacker_ids=attack_plan.attacker_ids if attack_plan is not None else (),
-        )
-        self.node.setup_local()
-        self.baseline = self.node.pool_baseline()
 
     # ------------------------------------------------------------------
     # liveness
@@ -287,17 +237,12 @@ class BrokerWorker:
             args = self._resolve_gstate(args)
             raw = conn.execute("HGET", self.cfg.key("snap"), client)
             snapshot = None if raw is None else serde.decode_snapshot(raw)
-            needs_data = method in ("local_update", "run_round")
-            dataset = self.provider.view(client) if needs_data else None
-            self.node.begin_client_turn(client, snapshot, dataset, self.baseline)
-            try:
-                value = getattr(self.node, method)(*args, **kwargs)
-            finally:
-                # swap out even after a failed turn (dedicated-node
-                # semantics: the client keeps whatever state the failure
-                # left), mirroring the memory broker's _run_turn
-                turns = snapshot.turns if snapshot is not None else 0
-                snap_frame = serde.encode_snapshot(self.node.end_client_turn(turns))
+            after, value, error = self.node.run_client_turn(
+                client, snapshot, self.provider, self.baseline, method, args, kwargs
+            )
+            snap_frame = serde.encode_snapshot(after)
+            if error is not None:
+                raise error
             result_frame = serde.encode_result(
                 turn_id, client, value,
                 snap_bytes=len(snap_frame), worker=self.worker_id,

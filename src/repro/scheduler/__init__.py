@@ -27,7 +27,7 @@ updates enter the global model a fourth configurable axis.  It provides
 
 Compose like any other axis::
 
-    engine = Engine.from_names(..., scheduler="fedbuff")
+    engine = Engine.from_spec(ExperimentSpec(..., scheduler="fedbuff"))
     engine.run_async(total_updates=48)
 
 or from YAML (``scheduler=fedasync`` on the CLI selects

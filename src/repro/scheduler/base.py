@@ -47,7 +47,7 @@ _LOG = get_logger("scheduler")
 
 SCHEDULERS: Registry["Scheduler"] = Registry("scheduler")
 
-#: actor-future timeout for one local training call (real seconds)
+#: actor-future timeout for one local training / codec call (real seconds)
 _TRAIN_TIMEOUT = 600.0
 
 

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.scheduler.base import SCHEDULERS, Scheduler
+from repro.scheduler.base import _TRAIN_TIMEOUT, SCHEDULERS, Scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
 from repro.topology.base import stationary_distribution
@@ -52,9 +52,6 @@ from repro.utils.logging import get_logger
 __all__ = ["GossipScheduler"]
 
 _LOG = get_logger("scheduler")
-
-#: real-seconds timeout for one local training / codec call
-_TRAIN_TIMEOUT = 600.0
 
 _SELECTION_MODES = ("all", "random_k", "pairwise")
 _MIXING_MODES = ("topology", "metropolis_hastings")

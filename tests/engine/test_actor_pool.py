@@ -16,6 +16,7 @@ import pytest
 from repro.engine.actor import ActorHandle, ThreadActor, wait_all
 from repro.engine.engine import Engine
 from repro.experiment import ExperimentSpec
+from repro.runtime.miniredis import MiniRedis
 
 
 class Worker:
@@ -87,11 +88,18 @@ def test_submit_call_runs_on_actor_thread_with_wrapped_object():
 # --------------------------------------------------------------------------
 # pool-worker reuse across (and after) failures
 # --------------------------------------------------------------------------
-def pooled_engine(pool_size=1, num_clients=3, seed=0):
+@pytest.fixture(scope="module")
+def miniredis():
+    with MiniRedis() as server:
+        yield server
+
+
+def pooled_engine(pool_size=1, num_clients=3, seed=0, broker="memory://"):
     spec = ExperimentSpec(
         topology="centralized",
         num_clients=num_clients,
         pool_size=pool_size,
+        broker=broker,
         data={
             "dataset": "blobs",
             "kwargs": {"train_size": 192, "test_size": 48},
@@ -117,9 +125,14 @@ def _turn(engine, client):
     return engine.pool.submit(client, "local_update", payload, 0, 0)
 
 
-def test_failed_turn_propagates_and_leaves_no_leaked_state():
-    clean = pooled_engine()
-    dirty = pooled_engine()
+@pytest.mark.parametrize("substrate", ["memory", "redis"])
+def test_failed_turn_propagates_and_leaves_no_leaked_state(substrate, request):
+    # redis: one worker process serves every turn, and its error frame
+    # reaches the ticket as a RuntimeError naming the original exception
+    broker = request.getfixturevalue("miniredis").url if substrate == "redis" else "memory://"
+    raised = RuntimeError if substrate == "redis" else ValueError
+    clean = pooled_engine(broker=broker)
+    dirty = pooled_engine(broker=broker)
     try:
         # both pools: client 0 trains one turn
         ref_first = _turn(clean, 0).result(60)
@@ -127,9 +140,9 @@ def test_failed_turn_propagates_and_leaves_no_leaked_state():
 
         # dirty pool: client 1's turn fails mid-flight on the same worker
         bad = dirty.pool.submit(1, "run_round", 0, "no-such-pattern")
-        with pytest.raises(ValueError, match="unknown coordination pattern"):
+        with pytest.raises(raised, match="unknown coordination pattern"):
             bad.result(60)
-        assert isinstance(bad.exception(), ValueError)
+        assert isinstance(bad.exception(), raised)
 
         # the worker keeps serving: client 2 trains (fresh state), then
         # client 0 trains again — bit-identical to the pool that never saw

@@ -38,27 +38,40 @@ def test_live_mode_requires_cluster():
         ExperimentSpec(mode="live")
 
 
-def test_live_mode_forbids_scripted_faults():
+# mode auto with a cluster block resolves to live, so it obeys the same rules
+LIVE_MODES = pytest.mark.parametrize("mode", ["live", "auto"])
+
+
+@LIVE_MODES
+def test_live_mode_forbids_scripted_faults(mode):
     with pytest.raises(SpecError, match="scripted fault model"):
         ExperimentSpec(
-            mode="live", cluster={},
+            mode=mode, cluster={},
             faults=FaultSpec(drop_prob=0.2),
+        )
+    with pytest.raises(SpecError, match="scripted fault model"):
+        ExperimentSpec(
+            mode=mode, cluster={},
+            faults=FaultSpec(straggler_prob=0.2),
         )
 
 
-def test_live_mode_forbids_pool():
+@LIVE_MODES
+def test_live_mode_forbids_pool(mode):
     with pytest.raises(SpecError, match="pool_size"):
-        ExperimentSpec(mode="live", cluster={}, pool_size=2)
+        ExperimentSpec(mode=mode, cluster={}, pool_size=2)
 
 
-def test_live_mode_forbids_batch_turns():
+@LIVE_MODES
+def test_live_mode_forbids_batch_turns(mode):
     with pytest.raises(SpecError, match="batch_turns"):
-        ExperimentSpec(mode="live", cluster={}, batch_turns=4)
+        ExperimentSpec(mode=mode, cluster={}, batch_turns=4)
 
 
-def test_live_mode_forbids_external_broker():
+@LIVE_MODES
+def test_live_mode_forbids_external_broker(mode):
     with pytest.raises(SpecError, match="broker"):
-        ExperimentSpec(mode="live", cluster={}, broker="redis://localhost:6379/0")
+        ExperimentSpec(mode=mode, cluster={}, broker="redis://localhost:6379/0")
 
 
 def test_cluster_under_rounds_mode_rejected():

@@ -174,7 +174,7 @@ def test_from_config_missing_node_fails_loudly():
         ExperimentSpec.from_config({"topology": {"_target_": "x"}})
 
 
-# ------------------------------------------- from_config / from_spec equivalence
+# ------------------------------------------- from_config -> from_spec wiring
 def _tiny_cfg(fresh_port, **extra):
     cfg = {
         "topology": {
@@ -202,27 +202,35 @@ def _tiny_cfg(fresh_port, **extra):
     {"scheduler": {"_target_": "repro.scheduler.FedAsyncScheduler", "alpha": 0.5}},
 ], ids=["plain", "compression", "privacy", "scheduler"])
 def test_from_config_and_from_spec_build_equivalent_engines(extra, fresh_port):
-    """The deprecated Engine.from_config and the spec path must construct
-    identically-shaped executors from the same composed config."""
+    """A composed config through ExperimentSpec.from_config and
+    Engine.from_spec builds the engine the config describes: the
+    compressor, DP and scheduler are wired exactly when the config names
+    them (DP on trainers only)."""
+    from repro.algorithms import FedAvg
+    from repro.compression import TopK
     from repro.engine import Engine
+    from repro.privacy import DifferentialPrivacy
+    from repro.scheduler import FedAsyncScheduler
 
-    with pytest.warns(DeprecationWarning):
-        legacy = Engine.from_config(_tiny_cfg(fresh_port, **extra))
-    spec = ExperimentSpec.from_config(_tiny_cfg(fresh_port + 1, **extra))
-    modern = Engine.from_spec(spec)
+    engine = Engine.from_spec(ExperimentSpec.from_config(_tiny_cfg(fresh_port, **extra)))
     try:
-        assert legacy.global_rounds == modern.global_rounds
-        assert legacy.seed == modern.seed
-        assert len(legacy.nodes) == len(modern.nodes)
-        for a, b in zip(legacy.nodes, modern.nodes):
-            assert type(a.algorithm) is type(b.algorithm)
-            assert type(a.model) is type(b.model)
-            assert a.model.state_dict().keys() == b.model.state_dict().keys()
-            assert (a.compressor is None) == (b.compressor is None)
-            assert (a.dp is None) == (b.dp is None)
-        assert (legacy.scheduler is None) == (modern.scheduler is None)
-        if legacy.scheduler is not None:
-            assert type(legacy.scheduler) is type(modern.scheduler)
+        assert engine.global_rounds == 1
+        assert engine.seed == 3
+        assert len(engine.nodes) == 3
+        for node in engine.nodes:
+            assert type(node.algorithm) is FedAvg
+            if "compression" in extra:
+                assert isinstance(node.compressor, TopK) and node.compressor.ratio == 5
+            else:
+                assert node.compressor is None
+            if "privacy" in extra and node.role.trains():
+                assert isinstance(node.dp, DifferentialPrivacy) and node.dp.epsilon == 5.0
+            else:
+                assert node.dp is None
+        if "scheduler" in extra:
+            assert isinstance(engine.scheduler, FedAsyncScheduler)
+            assert engine.scheduler.alpha == 0.5
+        else:
+            assert engine.scheduler is None
     finally:
-        legacy.shutdown()
-        modern.shutdown()
+        engine.shutdown()

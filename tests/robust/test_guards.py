@@ -14,29 +14,28 @@ from repro.engine import Engine
 from repro.experiment.spec import (
     AggregationSpec,
     AttackSpec,
+    DataSpec,
     ExperimentSpec,
     MTDSpec,
     SpecError,
-    spec_from_parts,
+    TrainSpec,
 )
 from repro.scheduler import build_scheduler
 
 
-def make_spec(port, *, topology="centralized", clients=3, **overrides):
-    overrides.setdefault("scheduler", {"name": "sync"})
-    overrides.setdefault("mode", "async")
-    overrides.setdefault("algorithm", "fedavg")
-    return spec_from_parts(
+def make_spec(port, *, topology="centralized", clients=3, algorithm="fedavg",
+              scheduler="sync", mode="async", **overrides):
+    return ExperimentSpec(
         topology=topology,
         topology_kwargs={
             "num_clients": clients,
             "inner_comm": {"backend": "torchdist", "master_port": port},
         },
-        datamodule="blobs",
-        datamodule_kwargs={"train_size": 96, "test_size": 48},
-        model="mlp",
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=1,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 48}),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=1),
+        scheduler=scheduler,
+        mode=mode,
         seed=0,
         **overrides,
     )

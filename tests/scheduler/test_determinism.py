@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, TrainSpec
 
 #: fields that measure the host machine, not the federation
 _WALL_FIELDS = ("wall_seconds",)
@@ -53,20 +54,22 @@ def _records(metrics):
     return out
 
 
-def _run(topology, scheduler, port, topology_kwargs, total_updates):
-    eng = Engine.from_names(
+def _spec(topology, topology_kwargs, scheduler, global_rounds=3, seed=0, **extra):
+    return ExperimentSpec(
         topology=topology,
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
         topology_kwargs=topology_kwargs,
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=0,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64},
+                      batch_size=32),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=global_rounds),
         scheduler=scheduler,
+        seed=seed,
+        **extra,
     )
+
+
+def _run(topology, scheduler, port, topology_kwargs, total_updates):
+    eng = Engine.from_spec(_spec(topology, topology_kwargs, scheduler))
     metrics = eng.run_async(total_updates=total_updates)
     state = {k: np.copy(v) for k, v in eng.global_state().items()}
     eng.shutdown()
@@ -134,22 +137,13 @@ def test_different_seeds_actually_diverge(fresh_port):
     """The suite would be vacuous if runs were identical regardless of seed."""
 
     def once(port, seed):
-        eng = Engine.from_names(
-            topology="centralized",
-            algorithm="fedavg",
-            model="mlp",
-            datamodule="blobs",
-            topology_kwargs={
-                "num_clients": 4,
-                "inner_comm": {"backend": "torchdist", "master_port": port},
-            },
-            datamodule_kwargs={"train_size": 256, "test_size": 64},
-            algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+        eng = Engine.from_spec(_spec(
+            "centralized",
+            {"num_clients": 4, "inner_comm": {"backend": "torchdist", "master_port": port}},
+            {"name": "fedasync", "heterogeneity": dict(LOGNORMAL)},
             global_rounds=2,
-            batch_size=32,
             seed=seed,
-            scheduler={"name": "fedasync", "heterogeneity": dict(LOGNORMAL)},
-        )
+        ))
         metrics = eng.run_async(total_updates=8)
         state = {k: np.copy(v) for k, v in eng.global_state().items()}
         eng.shutdown()
@@ -195,20 +189,12 @@ def _topology_kwargs(policy, port):
 
 
 def _run_policy(policy, port, telemetry=None, **spec_kwargs):
-    eng = Engine.from_names(
-        topology=_TOPO_FOR[policy],
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        topology_kwargs=_topology_kwargs(policy, port),
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=0,
-        scheduler=dict(_SCHED_FOR[policy]),
+    eng = Engine.from_spec(_spec(
+        _TOPO_FOR[policy],
+        _topology_kwargs(policy, port),
+        dict(_SCHED_FOR[policy]),
         **spec_kwargs,
-    )
+    ))
     if telemetry is not None:
         eng.metrics.callbacks.append(telemetry)
     metrics = eng.run_async(total_updates=8 if policy == "hier_async" else 12)

@@ -6,30 +6,29 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, PluginSpec, TrainSpec
 from repro.scheduler import GossipScheduler, build_scheduler
 
 COMPUTE = {"latency": "lognormal", "mean": 0.5, "sigma": 0.5, "client_spread": 0.5}
 EDGE = {"latency": "lognormal", "mean": 0.3, "sigma": 0.5, "client_spread": 0.5}
 
 
-def gossip_engine(fresh_port, *, topology="ring", scheduler=None, seed=0, **kw):
+def gossip_engine(fresh_port, *, topology="ring", scheduler=None, seed=0,
+                  algorithm="fedavg", topology_kwargs=None, plugins=None):
     topo_kw = {"inner_comm": {"backend": "torchdist", "master_port": fresh_port}}
-    topo_kw.update(kw.pop("topology_kwargs", {}))
+    topo_kw.update(topology_kwargs or {})
     topo_kw.setdefault("num_clients", 4)
-    return Engine.from_names(
+    return Engine.from_spec(ExperimentSpec(
         topology=topology,
-        algorithm=kw.pop("algorithm", "fedavg"),
-        model="mlp",
-        datamodule="blobs",
         topology_kwargs=topo_kw,
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.1, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=seed,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64},
+                      batch_size=32),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.1, "local_epochs": 1},
+                        model="mlp", global_rounds=3),
+        plugins=plugins or PluginSpec(),
         scheduler=scheduler,
-        **kw,
-    )
+        seed=seed,
+    ))
 
 
 def gossip_spec(**kw):
@@ -82,12 +81,14 @@ def test_flat_scheduler_still_rejects_gossip_topologies(fresh_port):
 
 
 def test_gossip_scheduler_rejects_server_topologies(fresh_port):
-    eng = Engine.from_names(
-        topology="centralized", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=2, global_rounds=1, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 64, "test_size": 32},
-    )
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 2,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 64, "test_size": 32}),
+        train=TrainSpec(model="mlp", global_rounds=1),
+        seed=0,
+    ))
     with pytest.raises(ValueError, match="gossip-pattern"):
         eng.run_async(total_updates=2, scheduler="gossip_async")
     eng.shutdown()
@@ -203,14 +204,18 @@ def test_consensus_distance_contracts_under_pure_averaging(fresh_port):
     eng.shutdown()
     assert max(learned) > 0
 
-    frozen = Engine.from_names(
-        topology="ring", algorithm="fedavg", model="mlp", datamodule="blobs",
+    frozen = Engine.from_spec(ExperimentSpec(
+        topology="ring",
         topology_kwargs={"num_clients": 4,
                          "inner_comm": {"backend": "torchdist", "master_port": fresh_port + 1}},
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.0, "momentum": 0.0, "local_epochs": 1},
-        global_rounds=1, batch_size=32, seed=0, scheduler=gossip_spec(),
-    )
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64},
+                      batch_size=32),
+        train=TrainSpec(algorithm="fedavg",
+                        algorithm_kwargs={"lr": 0.0, "momentum": 0.0, "local_epochs": 1},
+                        model="mlp", global_rounds=1),
+        scheduler=gossip_spec(),
+        seed=0,
+    ))
     metrics = frozen.run_async(total_updates=4)
     frozen.shutdown()
     assert all(r.consensus_dist == pytest.approx(0.0, abs=1e-6) for r in metrics.history)
@@ -252,8 +257,7 @@ def test_exchange_routes_through_compressor(fresh_port):
     eng = gossip_engine(
         fresh_port,
         scheduler=gossip_spec(),
-        compressor="topk",
-        compressor_kwargs={"ratio": 4.0},
+        plugins=PluginSpec(compressor="topk", compressor_kwargs={"ratio": 4.0}),
     )
     metrics = eng.run_async(total_updates=8)
     dense = 0
@@ -274,7 +278,7 @@ def test_exchange_applies_dp_noise(fresh_port):
     eng = gossip_engine(
         fresh_port,
         scheduler=gossip_spec(),
-        dp_fn=lambda: DifferentialPrivacy(epsilon=2.0, clip_norm=1.0, seed=0),
+        plugins=PluginSpec(dp=lambda: DifferentialPrivacy(epsilon=2.0, clip_norm=1.0, seed=0)),
     )
     metrics = eng.run_async(total_updates=8)
     state = eng.global_state()
