@@ -174,9 +174,6 @@ class ClientPool(ClientRuntime):
             self.broker.start()
             self._started = True
 
-    # kept as an alias: pre-broker callers knew this step as baseline capture
-    ensure_baseline = start
-
     # ------------------------------------------------------------------
     def submit(self, client: int, method: str, *args: Any, **kwargs: Any) -> PoolTicket:
         if not self._started:
@@ -255,20 +252,8 @@ class ClientPool(ClientRuntime):
         broker can return capacity (e.g. a freed worker slot) atomically
         with the client becoming schedulable again.
         """
-        if exc is not None:
-            ticket._exc = exc
-        else:
-            ticket._result = result
         with self._lock:
-            self.turns_run += 1
-            self._busy_clients.discard(ticket.client)
-            if ticket.client in self._queues:
-                self._mark_ready_locked(ticket.client)
-            if ticket._abandoned and not ticket._consumed:
-                # the waiter timed out and may never come back for the
-                # result: return the admission slot here instead
-                ticket._consumed = True
-                self._unconsumed -= 1
+            self._finish_turn_locked(ticket, result, exc)
             if release is not None:
                 release()
             self._pump_locked()
@@ -282,20 +267,9 @@ class ClientPool(ClientRuntime):
         ``outcomes`` is ``[(ticket, result, exc), ...]``.  Semantics match
         per-ticket :meth:`turn_done` calls, but a fused batch of K turns
         pays one lock/pump cycle instead of K."""
-        for ticket, result, exc in outcomes:
-            if exc is not None:
-                ticket._exc = exc
-            else:
-                ticket._result = result
         with self._lock:
-            for ticket, _, _ in outcomes:
-                self.turns_run += 1
-                self._busy_clients.discard(ticket.client)
-                if ticket.client in self._queues:
-                    self._mark_ready_locked(ticket.client)
-                if ticket._abandoned and not ticket._consumed:
-                    ticket._consumed = True
-                    self._unconsumed -= 1
+            for ticket, result, exc in outcomes:
+                self._finish_turn_locked(ticket, result, exc)
             self._pump_locked()
         for ticket, _, _ in outcomes:
             ticket._event.set()
@@ -313,6 +287,28 @@ class ClientPool(ClientRuntime):
     # ------------------------------------------------------------------
     # internals (all under self._lock unless noted)
     # ------------------------------------------------------------------
+    def _finish_turn_locked(
+        self, ticket: PoolTicket, result: Any, exc: Optional[BaseException]
+    ) -> None:
+        """Completion bookkeeping for one started turn; the caller sets the
+        ticket's event after releasing the lock.  Shared by
+        :meth:`turn_done` and :meth:`turns_done_batch` — neither may call
+        the other, since wrappers that count finished turns on each public
+        name would then count a turn twice."""
+        if exc is not None:
+            ticket._exc = exc
+        else:
+            ticket._result = result
+        self.turns_run += 1
+        self._busy_clients.discard(ticket.client)
+        if ticket.client in self._queues:
+            self._mark_ready_locked(ticket.client)
+        if ticket._abandoned and not ticket._consumed:
+            # the waiter timed out and may never come back for the
+            # result: return the admission slot here instead
+            ticket._consumed = True
+            self._unconsumed -= 1
+
     def _mark_ready_locked(self, client: int) -> None:
         """Place a schedulable client (pending turns, not busy) into the
         lane its head turn belongs to.  Lane entries may go stale — the

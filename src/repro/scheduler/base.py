@@ -16,6 +16,9 @@ dispatch with an arrival time and policies advance ``self.now`` instead of
 sleeping, so straggler dynamics are reproducible and fast.  Concrete
 policies (sync barrier, semi-sync deadline, FedAsync, FedBuff) live in
 :mod:`repro.scheduler.policies`.
+
+The base class also holds the one definition of each merge rule and of the
+metrics record, called by the flat policies, the hierarchical root and gossip.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.nn.serialization import clone_state
 from repro.runtime.broker import BrokerTurnLost, PeerLostError
 from repro.scheduler.events import EventQueue, PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
@@ -113,6 +117,8 @@ class Scheduler:
         self.robust: Optional[Any] = None
         self._attacker_ids: frozenset = frozenset()
         self.attacked = 0
+        # recent arrivals for the robust FedAsync merge (see merge_interpolate)
+        self._robust_window: List[Dict[str, np.ndarray]] = []
         # live (wall-clock) execution: set at bind time from the runtime's
         # ``live`` flag; arrival times then track real elapsed seconds and
         # the scripted heterogeneity model is disabled
@@ -455,14 +461,100 @@ class Scheduler:
         return out
 
     # ------------------------------------------------------------------
+    # merge rules (each advances the model version by one)
+    # ------------------------------------------------------------------
+    def merge_barrier(self, entries: List[Dict[str, Any]]) -> None:
+        """Barrier merge of ``{"rank", "state", "meta"}`` entries.
+
+        A robust rule replaces the weighted mean, weighted by each entry's
+        ``meta['num_samples']`` (callers fold any staleness discount in
+        there); otherwise the algorithm's own ``aggregate`` hook merges, so
+        FedProx, Scaffold, ... keep their server step.
+        """
+        if self.robust is not None:
+            self.global_state = self.robust.combine(
+                [e["state"] for e in entries],
+                [float(e["meta"].get("num_samples", 1.0)) for e in entries],
+                base=self.global_state,
+            )
+        else:
+            algo = self.server.algorithm
+            self.global_state = algo.aggregate(entries, self.global_state, self.version)
+        self.version += 1
+
+    def merge_interpolate(
+        self, state: Dict[str, np.ndarray], weight: float, window_cap: int
+    ) -> None:
+        """FedAsync merge: ``x ← (1 − weight)·x + weight·target`` on float
+        entries; integer buffers (e.g. BatchNorm step counts) adopt the
+        target's value.
+
+        The target is ``state`` itself, or — with a robust rule — the robust
+        combination of the last ``window_cap`` arrivals, so one poisoned
+        state moves the target only as far as the robust rule lets it.
+        """
+        target = state
+        if self.robust is not None:
+            self._robust_window.append(state)
+            del self._robust_window[:-window_cap]
+            target = self.robust.combine(
+                list(self._robust_window),
+                [1.0] * len(self._robust_window),
+                base=self.global_state,
+            )
+        new_state: Dict[str, np.ndarray] = {}
+        for key, g in self.global_state.items():
+            c = target.get(key)
+            if c is None:
+                new_state[key] = np.copy(g)
+            elif np.issubdtype(np.asarray(g).dtype, np.floating):
+                new_state[key] = ((1.0 - weight) * g + weight * np.asarray(c)).astype(g.dtype)
+            else:
+                new_state[key] = np.copy(c)
+        self.global_state = new_state
+        self.version += 1
+
+    def merge_buffer(self, buffer: List[Dict[str, Any]], server_lr: float) -> None:
+        """FedBuff flush of ``{"delta", "weight"}`` items: one ``server_lr``
+        step along the mean of the discount-weighted deltas.
+
+        Dividing by the buffer count (not the weight sum) keeps the
+        staleness discount absolute — a buffer of uniformly stale updates
+        steps proportionally smaller, instead of the discount cancelling out
+        of the normalization.  A robust rule combines the weighted deltas at
+        zero base instead (median/trimmed mean/Krum screen out poisoned
+        steps, norm-clip bounds them).
+        """
+        if self.robust is None:
+            steps = [(server_lr * item["weight"] / len(buffer), item["delta"]) for item in buffer]
+        else:
+            weighted = [
+                {key: item["weight"] * d for key, d in item["delta"].items()} for item in buffer
+            ]
+            steps = [(server_lr, self.robust.combine(weighted, [1.0] * len(weighted), base=None))]
+        new_state = clone_state(self.global_state)
+        for scale, delta in steps:
+            for key, d in delta.items():
+                if key in new_state:
+                    new_state[key] = (new_state[key] + scale * d).astype(new_state[key].dtype)
+        self.global_state = new_state
+        self.version += 1
+
+    # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def record_aggregation(
         self,
         merged: Sequence[Dict[str, Any]],
         staleness: Sequence[int],
+        **fields: Any,
     ) -> "RoundRecord":
-        """Append one metrics record for an aggregation event."""
+        """Append one metrics record for an aggregation event.
+
+        ``fields`` set further :class:`~repro.engine.metrics.RoundRecord`
+        fields (``applied`` defaults to ``len(merged)``); they are in place
+        before ``metrics.add`` hands the record to callbacks.
+        """
         # imported lazily: repro.engine.engine imports this module, and the
         # engine package __init__ pulls engine.py in — a top-level import
         # here would close that cycle before Scheduler exists
@@ -470,13 +562,14 @@ class Scheduler:
 
         assert self.engine is not None and self.metrics is not None
         wall = time.perf_counter() - self._wall_anchor
+        fields.setdefault("applied", len(merged))
         record = RoundRecord(
             round_idx=len(self.metrics.history),
             wall_seconds=wall,
             sim_time=self.now,
-            applied=len(merged),
             staleness_mean=float(np.mean(staleness)) if len(staleness) else 0.0,
             tier=self.tier,
+            **fields,
         )
         losses, accs, weights = [], [], []
         for res in merged:

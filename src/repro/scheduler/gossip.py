@@ -35,6 +35,12 @@ Staleness: a message carries the sender's step count; by mix time the
 sender may have produced newer states, and the discount attenuates the
 mixing weight accordingly, with the freed mass returning to the receiver's
 self-weight (rows stay stochastic, so averaging never diverges).
+
+Records: every applied step (async) or round (barrier) goes through the
+shared ``Scheduler.record_aggregation``, with the per-edge bytes since the
+previous record and the consensus distance passed in as record fields, so
+callbacks (CSV logger, telemetry) see them on ``on_update``.  Both loops
+share one message-landing and one peer-retire helper.
 """
 
 from __future__ import annotations
@@ -139,7 +145,6 @@ class GossipScheduler(Scheduler):
         self._edge_ids: Dict[Tuple[int, int], int] = {}
         self._edge_count: Dict[Tuple[int, int], int] = {}
         self._gossip_rng: Optional[np.random.Generator] = None
-        self._bytes_seen = 0
         self._edge_seen: Dict[Tuple[int, int], int] = {}
         # moving-target defense: per-epoch overlay resampling (bind() wires
         # these from the engine's mtd spec; None means a static topology)
@@ -442,18 +447,50 @@ class GossipScheduler(Scheduler):
             span.set(merged=len(entries))
         return taus
 
-    def _annotate(self, record: "RoundRecord") -> None:  # noqa: F821
-        """Per-edge byte deltas and consensus distance for one record."""
-        total = sum(self.edge_bytes.values())
-        record.bytes_sent = total - self._bytes_seen
-        self._bytes_seen = total
-        for edge, sent in self.edge_bytes.items():
-            prev = self._edge_seen.get(edge, 0)
-            if sent > prev:
-                record.per_edge[f"{edge[0]}->{edge[1]}"] = sent - prev
-                self._edge_seen[edge] = sent
-        if self.track_consensus:
-            record.consensus_dist = self.consensus_distance()
+    def _record(self, merged: List[Dict[str, Any]], taus: List[int]) -> None:
+        """One metrics record carrying the per-edge byte deltas since the
+        previous record and the consensus distance — set before the record
+        reaches callbacks."""
+        seen, self._edge_seen = self._edge_seen, dict(self.edge_bytes)
+        per_edge = {
+            f"{u}->{v}": sent - seen.get((u, v), 0)
+            for (u, v), sent in self.edge_bytes.items()
+            if sent > seen.get((u, v), 0)
+        }
+        self.record_aggregation(
+            merged, taus, bytes_sent=sum(per_edge.values()), per_edge=per_edge,
+            consensus_dist=self.consensus_distance() if self.track_consensus else None,
+        )
+
+    def _land(self, event: PendingUpdate) -> None:
+        """A neighbor message arrives: queue it in the receiver's inbox."""
+        self.tracer.sim_span(
+            "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
+            track=f"edge {event.value['sender']}->{event.client}",
+            sender=event.value["sender"], receiver=event.client,
+        )
+        self.inbox[event.client].append(event.value)
+
+    def _retire_peer(self, event: PendingUpdate) -> Optional[Dict[str, Any]]:
+        """A peer's local step completes: free the peer and return its
+        result, or ``None`` when the step was dropped."""
+        peer = event.client
+        self._in_flight.pop(peer, None)
+        self.tracer.sim_span(
+            "peer.train", event.dispatched_at, event.arrival, cat="gossip",
+            track=f"peer {peer}", peer=peer, dropped=event.dropped,
+        )
+        if event.dropped:
+            self.dropped += 1
+            return None
+        result = event.result(_TRAIN_TIMEOUT)
+        self.steps[peer] += 1
+        if self.engine.nodes[self._node_pos[peer]].is_attacker:
+            self.attacked += 1
+        stats = result.get("stats", {})
+        if "loss" in stats:
+            self.last_loss[peer] = float(stats["loss"])
+        return result
 
     # ------------------------------------------------------------------
     # entry point
@@ -474,39 +511,21 @@ class GossipScheduler(Scheduler):
         while self.applied < target:
             event = self.queue.pop()
             self.now = max(self.now, event.arrival)
-            if event.value is not None:  # a neighbor message lands
-                self.tracer.sim_span(
-                    "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
-                    track=f"edge {event.value['sender']}->{event.client}",
-                    sender=event.value["sender"], receiver=event.client,
-                )
-                self.inbox[event.client].append(event.value)
+            if event.value is not None:
+                self._land(event)
                 continue
             peer = event.client
-            self._in_flight.pop(peer, None)
-            self.tracer.sim_span(
-                "peer.train", event.dispatched_at, event.arrival, cat="gossip",
-                track=f"peer {peer}", peer=peer, dropped=event.dropped,
-            )
-            if event.dropped:
+            result = self._retire_peer(event)
+            if result is None:
                 # the peer's compute failed this cycle: nothing to publish
                 # or mix; retry from its current state
-                self.dropped += 1
                 self._dispatch_train(peer, self.now)
                 continue
-            result = event.result(_TRAIN_TIMEOUT)
-            self.steps[peer] += 1
-            if self.engine.nodes[self._node_pos[peer]].is_attacker:
-                self.attacked += 1
-            stats = result.get("stats", {})
-            if "loss" in stats:
-                self.last_loss[peer] = float(stats["loss"])
             self._publish(peer, self.now)
             taus = self._mix(peer, result["state"])
             self.applied += 1
             self.version += 1
-            record = self.record_aggregation([result], taus)
-            self._annotate(record)
+            self._record([result], taus)
             self._maybe_reshuffle()
             self._dispatch_train(peer, self.now)
 
@@ -525,32 +544,14 @@ class GossipScheduler(Scheduler):
             event = self.queue.pop()
             barrier_time = max(barrier_time, event.arrival)
             if event.value is not None:
-                self.tracer.sim_span(
-                    "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
-                    track=f"edge {event.value['sender']}->{event.client}",
-                    sender=event.value["sender"], receiver=event.client,
-                )
-                self.inbox[event.client].append(event.value)
+                self._land(event)
                 continue
-            peer = event.client
-            self._in_flight.pop(peer, None)
-            self.tracer.sim_span(
-                "peer.train", event.dispatched_at, event.arrival, cat="gossip",
-                track=f"peer {peer}", peer=peer, dropped=event.dropped,
-            )
-            if event.dropped:
-                self.dropped += 1
+            result = self._retire_peer(event)
+            if result is None:
                 continue
-            result = event.result(_TRAIN_TIMEOUT)
-            self.steps[peer] += 1
-            if self.engine.nodes[self._node_pos[peer]].is_attacker:
-                self.attacked += 1
-            stats = result.get("stats", {})
-            if "loss" in stats:
-                self.last_loss[peer] = float(stats["loss"])
-            trained[peer] = result["state"]
+            trained[event.client] = result["state"]
             merged.append(result)
-            self._publish(peer, event.arrival)
+            self._publish(event.client, event.arrival)
         self.now = barrier_time
         taus: List[int] = []
         for peer in self.peers:
@@ -559,8 +560,7 @@ class GossipScheduler(Scheduler):
         self.applied += len(trained)
         self.version += 1
         if merged:
-            record = self.record_aggregation(merged, taus)
-            self._annotate(record)
+            self._record(merged, taus)
         self._maybe_reshuffle()
 
     def drain(self) -> None:

@@ -12,7 +12,10 @@ composable per tier, the same way the topology already composes protocols:
   ``fedasync`` (staleness-discounted interpolation per arrival — async
   HierFAVG), ``fedbuff`` (buffered site deltas), or ``sync`` (barrier
   across sites, reproducing the synchronous hierarchy under the same
-  virtual clock).
+  virtual clock).  The root owns no merge arithmetic of its own: each outer
+  policy calls the same :class:`~repro.scheduler.base.Scheduler` merge rule
+  as its flat namesake, and root records come from the same
+  ``record_aggregation``.
 
 Site uploads travel through the site head's ``outer_compressor``/DP codec,
 delta-coded against the global state the site was dispatched from — exactly
@@ -30,29 +33,21 @@ time, which keeps the virtual-time accounting exact.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.scheduler.base import SCHEDULERS, Scheduler, build_scheduler
+from repro.scheduler.base import _TRAIN_TIMEOUT, SCHEDULERS, Scheduler, build_scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
-from repro.scheduler.policies import (
-    _apply_buffered_deltas,
-    _float_delta,
-    _interpolate,
-    _robust_flush_deltas,
-)
+from repro.scheduler.policies import _float_delta
 from repro.utils.logging import get_logger
 
 __all__ = ["HierarchicalScheduler"]
 
 _LOG = get_logger("scheduler")
-
-#: real-seconds timeout for head-actor codec calls
-_HEAD_TIMEOUT = 600.0
 
 _OUTER_POLICIES = ("fedasync", "fedbuff", "sync")
 
@@ -154,7 +149,6 @@ class HierarchicalScheduler(Scheduler):
         self._site_by_head: Dict[int, _Site] = {}
         self._outer_buffer: List[Dict[str, Any]] = []
         self.outer_flushes = 0
-        self._robust_window: List[Dict[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # attachment
@@ -219,7 +213,7 @@ class HierarchicalScheduler(Scheduler):
         latency, _ = self.outer_hetero.sample(site.head, site.draws)  # downlink never drops
         site.draws += 1
         payload = self.server.algorithm.server_payload(self.global_state)
-        self.engine.actors[site.head].call("adopt_global", payload, timeout=_HEAD_TIMEOUT)
+        self.engine.actors[site.head].call("adopt_global", payload, timeout=_TRAIN_TIMEOUT)
         # pin the dispatch-time global: the root decodes this site's next
         # delta-coded upload against exactly this reference (aggregations
         # replace the state dict, so holding the reference is enough)
@@ -245,7 +239,7 @@ class HierarchicalScheduler(Scheduler):
             stats["loss"] = sum(r.train_loss * r.applied for r in recs) / w_total
             stats["accuracy"] = sum(r.train_accuracy * r.applied for r in recs) / w_total
         wire, meta = self.engine.actors[site.head].call(
-            "site_upload", site.base_state, site.samples, timeout=_HEAD_TIMEOUT
+            "site_upload", site.base_state, site.samples, timeout=_TRAIN_TIMEOUT
         )
         latency, dropped = self.outer_hetero.sample(site.head, site.draws)
         site.draws += 1
@@ -291,32 +285,16 @@ class HierarchicalScheduler(Scheduler):
             upload = event.value
             tau = self.staleness_of(event)
             assert self.discount is not None
+            site.merged_rounds += 1
             if self.outer == "fedasync":
                 weight = self.outer_alpha * self.discount(tau)
                 with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                                       policy=self.outer, site=upload["site"]):
-                    target = self._decode(event)
-                    if self.robust is not None:
-                        # robust outer fedasync: interpolate toward a robust
-                        # combination of the recent site uploads rather than
-                        # trusting the latest arrival alone
-                        self._robust_window.append(target)
-                        cap = max(3, len(self.sites))
-                        while len(self._robust_window) > cap:
-                            self._robust_window.pop(0)
-                        target = self.robust.combine(
-                            list(self._robust_window),
-                            [1.0] * len(self._robust_window),
-                            base=self.global_state,
-                        )
-                    self.global_state = _interpolate(self.global_state, target, weight)
-                self.version += 1
-                site.merged_rounds += 1
+                    self.merge_interpolate(self._decode(event), weight, max(3, len(self.sites)))
                 self._record_outer([upload], [tau])
             else:  # fedbuff outer: buffer the site delta, flush every K
                 assert event.base_state is not None
                 delta = _float_delta(self._decode(event), event.base_state)
-                site.merged_rounds += 1
                 self._outer_buffer.append(
                     {"delta": delta, "weight": self.discount(tau), "upload": upload, "tau": tau}
                 )
@@ -327,9 +305,7 @@ class HierarchicalScheduler(Scheduler):
     def _merge_sync_barrier(self) -> None:
         """Sync outer round: wait for every site, aggregate once, redispatch."""
         assert self.engine is not None
-        events: List[PendingUpdate] = []
-        while self.queue:
-            events.append(self.queue.pop())
+        events = self.queue.pop_until(math.inf)
         if not events:
             raise RuntimeError("sync outer barrier reached with no site uploads in flight")
         self.now = max(self.now, max(e.arrival for e in events))
@@ -351,18 +327,9 @@ class HierarchicalScheduler(Scheduler):
             uploads.append(event.value)
             staleness.append(self.staleness_of(event))
         if entries:
-            algo = self.server.algorithm
             with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                                   policy=self.outer, merged=len(entries)):
-                if self.robust is not None:
-                    self.global_state = self.robust.combine(
-                        [e["state"] for e in entries],
-                        [float(e["meta"].get("num_samples", 1.0)) for e in entries],
-                        base=self.global_state,
-                    )
-                else:
-                    self.global_state = algo.aggregate(entries, self.global_state, self.version)
-            self.version += 1
+                self.merge_barrier(entries)
             self._record_outer(uploads, staleness)
         for site in self.sites:
             if site.state == _IDLE:
@@ -376,15 +343,7 @@ class HierarchicalScheduler(Scheduler):
         buffer, self._outer_buffer = self._outer_buffer, []
         with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                               policy=self.outer, merged=len(buffer)):
-            if self.robust is not None:
-                self.global_state = _robust_flush_deltas(
-                    self.global_state, buffer, self.outer_server_lr, self.robust
-                )
-            else:
-                self.global_state = _apply_buffered_deltas(
-                    self.global_state, buffer, self.outer_server_lr
-                )
-        self.version += 1
+            self.merge_buffer(buffer, self.outer_server_lr)
         self.outer_flushes += 1
         self._record_outer(
             [item["upload"] for item in buffer],
@@ -403,41 +362,12 @@ class HierarchicalScheduler(Scheduler):
         Site-tier records live in each site's own collector
         (``scheduler.site_metrics``).
         """
-        from repro.engine.metrics import RoundRecord
-
-        assert self.engine is not None and self.metrics is not None
         applied = int(sum(u["applied"] for u in uploads))
-        record = RoundRecord(
-            round_idx=len(self.metrics.history),
-            wall_seconds=time.perf_counter() - self._wall_anchor,
-            sim_time=self.now,
-            applied=applied,
-            staleness_mean=float(np.mean(staleness)) if len(staleness) else 0.0,
-            tier=self.tier,
-            sites_merged=len(uploads),
-        )
-        losses, accs, weights = [], [], []
-        for u in uploads:
-            stats = u.get("stats", {})
-            record.per_node[f"site{u['site']}"] = {
-                k: float(v) for k, v in stats.items() if isinstance(v, (int, float))
-            }
-            record.per_node[f"site{u['site']}"]["applied"] = float(u["applied"])
-            if "loss" in stats:
-                w = float(stats.get("samples", 1.0))
-                losses.append(float(stats["loss"]) * w)
-                accs.append(float(stats.get("accuracy", 0.0)) * w)
-                weights.append(w)
-        if sum(weights) > 0:
-            record.train_loss = sum(losses) / sum(weights)
-            record.train_accuracy = sum(accs) / sum(weights)
         self.applied += applied
-        if self._eval_updates and self.applied >= self._next_eval:
-            record.eval_loss, record.eval_accuracy = self.engine.evaluate()
-            while self._next_eval <= self.applied:
-                self._next_eval += self._eval_updates
-        self._wall_anchor = time.perf_counter()
-        self.metrics.add(record)
+        per_node = {f"site{u['site']}": {**u["stats"], "applied": float(u["applied"])} for u in uploads}
+        self.record_aggregation(
+            uploads, staleness, applied=applied, sites_merged=len(uploads), per_node=per_node
+        )
 
     @property
     def site_metrics(self) -> List["MetricsCollector"]:  # noqa: F821

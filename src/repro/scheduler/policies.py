@@ -13,6 +13,11 @@ Scheduler`; they differ only in *when* arrivals enter the global model:
                ``alpha · s(staleness)`` (Xie et al. 2019);
 ``fedbuff``    buffer staleness-discounted deltas and flush every ``K``
                arrivals (Nguyen et al. 2022).
+
+Each policy decides *which* updates merge and *when*; the merge itself is
+one of the :class:`~repro.scheduler.base.Scheduler` merge rules
+(``merge_barrier``, ``merge_interpolate``, ``merge_buffer``), the same ones
+the hierarchical root runs over site uploads.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.serialization import clone_state
 from repro.scheduler.base import SCHEDULERS, Scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.utils.logging import get_logger
@@ -37,79 +41,18 @@ __all__ = [
 _LOG = get_logger("scheduler")
 
 
-def _interpolate(
-    global_state: Dict[str, np.ndarray],
-    client_state: Dict[str, np.ndarray],
-    weight: float,
-) -> Dict[str, np.ndarray]:
-    """``(1 - w)·global + w·client`` on float entries; integer buffers (e.g.
-    BatchNorm step counts) adopt the client's value."""
-    out: Dict[str, np.ndarray] = {}
-    for key, g in global_state.items():
-        c = client_state.get(key)
-        if c is None:
-            out[key] = np.copy(g)
-        elif np.issubdtype(np.asarray(g).dtype, np.floating):
-            out[key] = ((1.0 - weight) * g + weight * np.asarray(c)).astype(g.dtype)
-        else:
-            out[key] = np.copy(c)
-    return out
-
-
 def _float_delta(
     state: Dict[str, np.ndarray], base: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
-    """``state − base`` on float entries (what delta-buffering policies
-    accumulate); integer buffers are skipped."""
+    """``state − base`` on float entries (what delta-buffering policies —
+    flat FedBuff and the hierarchical fedbuff root — accumulate); integer
+    buffers are skipped."""
     delta: Dict[str, np.ndarray] = {}
     for key, c in state.items():
         b = base.get(key)
         if b is not None and np.issubdtype(np.asarray(b).dtype, np.floating):
             delta[key] = np.asarray(c) - b
     return delta
-
-
-def _apply_buffered_deltas(
-    global_state: Dict[str, np.ndarray],
-    buffer: List[Dict[str, Any]],
-    server_lr: float,
-) -> Dict[str, np.ndarray]:
-    """One FedBuff flush: mean of discounted deltas scaled by ``server_lr``.
-
-    Dividing by the buffer count (not the weight sum) keeps the staleness
-    discount absolute — a buffer of uniformly stale updates steps
-    proportionally smaller, instead of the discount cancelling out of the
-    normalization.  Shared by the flat FedBuff policy and the hierarchical
-    outer tier so the two "fedbuff" semantics cannot diverge.
-    """
-    new_state = clone_state(global_state)
-    for item in buffer:
-        scale = server_lr * item["weight"] / len(buffer)
-        for key, d in item["delta"].items():
-            new_state[key] = (new_state[key] + scale * d).astype(new_state[key].dtype)
-    return new_state
-
-
-def _robust_flush_deltas(
-    global_state: Dict[str, np.ndarray],
-    buffer: List[Dict[str, Any]],
-    server_lr: float,
-    robust: Any,
-) -> Dict[str, np.ndarray]:
-    """A FedBuff flush through a robust rule: combine the discount-weighted
-    deltas robustly (median/trimmed mean/Krum screen out poisoned steps,
-    norm-clip bounds them at zero base), then apply one ``server_lr`` step.
-    With a plain weighted mean this reduces to :func:`_apply_buffered_deltas`.
-    """
-    weighted = [
-        {key: item["weight"] * d for key, d in item["delta"].items()} for item in buffer
-    ]
-    combined = robust.combine(weighted, [1.0] * len(weighted), base=None)
-    new_state = clone_state(global_state)
-    for key, d in combined.items():
-        if key in new_state:
-            new_state[key] = (new_state[key] + server_lr * d).astype(new_state[key].dtype)
-    return new_state
 
 
 # ----------------------------------------------------------------------
@@ -213,22 +156,9 @@ class SemiSyncScheduler(Scheduler):
             merged.append(result)
             staleness.append(tau)
         if entries:
-            algo = self.server.algorithm
             with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                                   policy=self.name, merged=len(entries)):
-                if self.robust is not None:
-                    # the robust rule replaces the weighted mean; the
-                    # staleness discount still enters through each entry's
-                    # effective sample weight, exactly as it does for the
-                    # algorithm aggregators
-                    self.global_state = self.robust.combine(
-                        [e["state"] for e in entries],
-                        [float(e["meta"].get("num_samples", 1.0)) for e in entries],
-                        base=self.global_state,
-                    )
-                else:
-                    self.global_state = algo.aggregate(entries, self.global_state, self.version)
-            self.version += 1
+                self.merge_barrier(entries)
         return merged, staleness
 
 
@@ -294,31 +224,14 @@ class FedAsyncScheduler(_ContinuousScheduler):
         if not (0.0 < alpha <= 1.0):
             raise ValueError("fedasync alpha must be in (0, 1]")
         self.alpha = float(alpha)
-        # robust mode keeps a sliding window of recent arrivals and
-        # interpolates toward their robust combination instead of the raw
-        # (possibly byzantine) arrival — one poisoned state then moves the
-        # target only as far as the robust rule lets it
-        self._robust_window: List[Dict[str, np.ndarray]] = []
 
     def ingest(self, event: PendingUpdate, result: Dict[str, Any]) -> None:
         assert self.discount is not None
         tau = self.staleness_of(event)
         weight = self.alpha * self.discount(tau)
-        target = result["state"]
-        if self.robust is not None:
-            self._robust_window.append(result["state"])
-            cap = max(3, int(self.concurrency or 1))
-            if len(self._robust_window) > cap:
-                self._robust_window.pop(0)
-            target = self.robust.combine(
-                list(self._robust_window),
-                [1.0] * len(self._robust_window),
-                base=self.global_state,
-            )
         with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                               policy=self.name, client=event.client, staleness=tau):
-            self.global_state = _interpolate(self.global_state, target, weight)
-        self.version += 1
+            self.merge_interpolate(result["state"], weight, max(3, int(self.concurrency or 1)))
         self.applied += 1
         self.record_aggregation([result], [tau])
 
@@ -366,15 +279,7 @@ class FedBuffScheduler(_ContinuousScheduler):
         buffer, self._buffer = self._buffer, []
         with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                               policy=self.name, merged=len(buffer)):
-            if self.robust is not None:
-                self.global_state = _robust_flush_deltas(
-                    self.global_state, buffer, self.server_lr, self.robust
-                )
-            else:
-                self.global_state = _apply_buffered_deltas(
-                    self.global_state, buffer, self.server_lr
-                )
-        self.version += 1
+            self.merge_buffer(buffer, self.server_lr)
         self.applied += len(buffer)
         self.flush_count += 1
         self.record_aggregation(

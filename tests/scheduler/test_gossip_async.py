@@ -194,6 +194,34 @@ def test_round_records_carry_consensus_and_edge_bytes(fresh_port):
             assert abs(u - v) in (1, 3)  # ring neighbors (mod 4)
 
 
+@pytest.mark.parametrize("barrier", [False, True])
+def test_callbacks_see_records_with_traffic_and_consensus_set(fresh_port, barrier):
+    """Byte and consensus fields are part of the record callbacks receive,
+    not patched onto it after ``on_update`` fired."""
+    from repro.engine.callbacks import Callback
+
+    class Spy(Callback):
+        def __init__(self):
+            self.seen = []
+
+        def on_update(self, record, metrics):
+            self.seen.append((record.bytes_sent, dict(record.per_edge), record.consensus_dist))
+
+    spy = Spy()
+    eng = gossip_engine(fresh_port, scheduler=gossip_spec(barrier=barrier))
+    eng.metrics.callbacks.append(spy)
+    metrics = eng.run_async(total_updates=8)
+    eng.shutdown()
+    assert spy.seen
+    for bytes_sent, per_edge, consensus in spy.seen:
+        assert bytes_sent > 0
+        assert per_edge
+        assert consensus is not None
+    assert spy.seen == [
+        (r.bytes_sent, dict(r.per_edge), r.consensus_dist) for r in metrics.history
+    ]
+
+
 def test_consensus_distance_contracts_under_pure_averaging(fresh_port):
     """With learning switched off (lr=0), only mixing acts: since all peers
     start from the same init, consensus distance must stay at ~0; with

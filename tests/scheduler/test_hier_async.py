@@ -23,6 +23,7 @@ def hier_engine(
     seed=0,
     eval_every=1,
     plugins=None,
+    **spec_kwargs,
 ):
     return Engine.from_spec(ExperimentSpec(
         topology="hierarchical",
@@ -43,6 +44,7 @@ def hier_engine(
         plugins=plugins or PluginSpec(),
         scheduler=scheduler,
         seed=seed,
+        **spec_kwargs,
     ))
 
 
@@ -243,6 +245,24 @@ def test_two_tier_round_accounting(fresh_port):
     # outer clock advances monotonically across global records
     times = [rec.sim_time for rec in metrics.history]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("outer", ["fedasync", "fedbuff", "sync"])
+def test_root_robust_rule_screens_site_uploads(fresh_port, outer):
+    """The root runs its own robust instance under every outer policy: with
+    poisoned site uploads it must reject some, not only the site tiers."""
+    eng = hier_engine(
+        fresh_port,
+        scheduler=hier_spec(outer=outer, outer_buffer_size=3),
+        sites=3,
+        attack={"kind": "sign_flip", "fraction": 0.3, "scale": 5.0},
+        aggregation={"robust": "trimmed_mean", "kwargs": {"trim_ratio": 0.34}},
+    )
+    eng.run_async(total_updates=24)
+    root = eng.scheduler
+    eng.shutdown()
+    assert root.robust is not None
+    assert root.robust.counters["rejected"] > 0
 
 
 def test_fedbuff_outer_flushes_every_k_sites(fresh_port):
